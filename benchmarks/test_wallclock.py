@@ -1,12 +1,12 @@
 """Wall-clock speedup of compiled-program replay (simulator speed).
 
 Asserts the headline acceptance criteria of the capture/replay layer:
-the batched executor runs the QVGA LPF -> HPF -> NMS chain at least 5x
-faster than eagerly replaying the same programs row by row, and the
-compiled lowering backend at least 2x faster than the batched
-executor, with bit-identical SRAM contents and identical ledger totals
-on every path.  Results are archived under ``benchmarks/results/`` and
-written to the repo-root ``BENCH_pim.json``.
+the compiled executor runs the QVGA LPF -> HPF -> NMS chain at least
+10x faster than eagerly replaying the same programs row by row, and
+the warp kernel no slower than its eager reference, with bit-identical
+SRAM contents and identical ledger totals on every path.  Results are
+archived under ``benchmarks/results/``; the committed repo-root
+``BENCH_pim.json`` is regenerated by ``benchmarks/run_wallclock.py``.
 """
 
 import json
@@ -14,7 +14,7 @@ import json
 from repro.analysis.wallclock import run_wallclock, write_results
 
 
-def test_wallclock_replay_speedup(record_report):
+def test_wallclock_replay_speedup(record_report, tmp_path):
     results = run_wallclock(repeats=3)
     edge = results["edge_pipeline"]
     warp = results["warp"]
@@ -24,19 +24,14 @@ def test_wallclock_replay_speedup(record_report):
     assert edge["sram_bit_identical"]
     assert edge["ledger_identical"]
     assert warp["ledger_identical"]
-    assert edge["speedup"] >= 5.0, (
-        f"batched replay only {edge['speedup']}x faster than eager")
+    assert warp["sram_bit_identical"]
+    assert edge["compiled_speedup_vs_eager"] >= 10.0, (
+        f"compiled replay only {edge['compiled_speedup_vs_eager']}x "
+        f"faster than eager")
+    assert warp["compiled_speedup_vs_eager"] >= 1.0, (
+        f"compiled warp replay slower than eager "
+        f"({warp['compiled_speedup_vs_eager']}x)")
 
-    # Compiled backend: same bits, same ledger, >= 2x over batched.
-    assert edge["compiled_mask_bit_identical"]
-    assert edge["compiled_sram_bit_identical"]
-    assert edge["compiled_ledger_identical"]
-    assert warp["compiled_ledger_identical"]
-    assert warp["compiled_sram_bit_identical"]
-    assert edge["compiled_speedup_vs_batched"] >= 2.0, (
-        f"compiled replay only {edge['compiled_speedup_vs_batched']}x "
-        f"faster than batched")
-
-    path = write_results(results)
+    path = write_results(results, tmp_path / "BENCH_pim.json")
     record_report("wallclock_replay", json.dumps(results, indent=2))
-    assert path.exists()
+    assert json.loads(path.read_text()) == results

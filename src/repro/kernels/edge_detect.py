@@ -119,7 +119,7 @@ def detect_edges_pim(device, image: np.ndarray, th1: int = DEFAULT_TH1,
 def detect_edges_replay(device, image: np.ndarray, th1: int = DEFAULT_TH1,
                         th2: int = DEFAULT_TH2, base_row: int = 0,
                         mode: str = "auto") -> EdgeDetectionResult:
-    """Edge detection via compiled-program replay (row-batched).
+    """Edge detection via recorded-program replay, vectorized over rows.
 
     Each stage's per-row body is compiled once (cached in
     :data:`~repro.kernels.common.KERNEL_PROGRAM_CACHE`) and replayed
@@ -129,9 +129,9 @@ def detect_edges_replay(device, image: np.ndarray, th1: int = DEFAULT_TH1,
     higher than :func:`detect_edges_pim` because the batchable bodies
     recompute the row shifts the eager ring kernels carry across
     iterations.  ``mode`` is forwarded to
-    :meth:`~repro.pim.device.PIMDevice.run_program` (``"eager"``
-    executes the same programs row by row -- the equivalence and
-    benchmark reference).
+    :meth:`~repro.pim.device.PIMDevice.run_program`: ``"auto"`` runs
+    each stage's compiled plan, ``"eager"`` executes the same
+    programs row by row -- the equivalence and benchmark reference.
     """
     img = np.asarray(image)
     height, width = img.shape

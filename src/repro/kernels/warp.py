@@ -286,7 +286,7 @@ def warp_program(qpose: QuantizedPose, fraction_bits: int,
     across all blocks of a feature set.
 
     Block footprints are :data:`WARP_BLOCK_ROWS` rows wide, so bases
-    strided that far apart batch vectorized (disjoint footprints)
+    strided that far apart replay vectorized (disjoint footprints)
     even though the body's relative op order alone is not batchable.
     """
     rec = ProgramRecorder(config, name="warp")
@@ -329,8 +329,9 @@ def warp_pim_batched(device, qpose: QuantizedPose,
     rows starting at ``base_row + block * WARP_BLOCK_ROWS``.  The
     compute body is recorded once and replayed across all block bases,
     vectorized; outputs and ledger totals are identical to looping
-    :func:`warp_pim` over the blocks.  ``mode`` selects the
-    :meth:`~repro.pim.device.PIMDevice.run_program` replay backend.
+    :func:`warp_pim` over the blocks.  ``mode`` (``"auto"``: the
+    compiled plan, or ``"eager"``) is forwarded to
+    :meth:`~repro.pim.device.PIMDevice.run_program`.
     """
     lanes = device.config.lanes(_LANE_BITS)
     n = len(feats)

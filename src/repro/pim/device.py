@@ -43,7 +43,7 @@ program's aggregate ledger can be multiplied out analytically by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +81,26 @@ def _read_signedness(method: str, kwargs: dict) -> bool:
     return bool(kwargs.get("signed", True))
 
 
+def _lane_range(precision: int, signed: bool) -> Tuple[int, int]:
+    """Values a lane of ``precision`` bits holds, read ``signed`` or not.
+
+    64-bit lanes are host-bound int64 (see
+    :func:`repro.fixedpoint.ops.wrap`), so their unsigned range is
+    capped at the int64 maximum.  The recorder checks immediates
+    against this range at record time, exactly as :meth:`_read` does
+    when an op executes.
+    """
+    if signed:
+        return -(1 << (precision - 1)), (1 << (precision - 1)) - 1
+    return 0, min((1 << precision) - 1, (1 << 63) - 1)
+
+
+def _check_imm(value: int, precision: int, signed: bool) -> None:
+    lo, hi = _lane_range(precision, signed)
+    if not lo <= value <= hi:
+        raise ValueError(f"immediate {value} exceeds {precision}-bit range")
+
+
 def _check_multiplier(vb: np.ndarray, multiplier_bits: Optional[int],
                       signed: bool) -> None:
     """Enforce the declared multiplier width of a shortened MUL loop."""
@@ -100,7 +120,8 @@ def _compute(method: str, n: int, vals: Tuple[np.ndarray, ...],
 
     ``vals`` holds the already-read source operands as int64 arrays;
     the same function serves the eager path (1-D, one row) and the
-    batched replay path (2-D, all target rows at once) because every
+    compiled plan's per-op fallback (2-D, all target rows at once,
+    see :mod:`repro.pim.lowering`) because every
     underlying :mod:`repro.fixedpoint.ops` primitive is elementwise and
     lane shifts index the last axis.
     """
@@ -377,9 +398,8 @@ class PIMDevice(_DeviceCore):
         u = np.asarray(values, dtype=np.int64)
         if n < 64:
             u = u & ((1 << n) - 1)
-            # order="C": inputs that went through a broadcast (batched
-            # replay of absolute-row reads) can arrive F-ordered, which
-            # the byte view below cannot reinterpret.
+            # order="C": the byte view below cannot reinterpret an
+            # F-ordered block.
             return u.astype(_LANE_DTYPES[n], order="C").view(np.uint8)
         return np.ascontiguousarray(u).view(np.uint64).astype(
             "<u8").view(np.uint8)
@@ -387,12 +407,7 @@ class PIMDevice(_DeviceCore):
     def _read(self, src: Src, signed: bool) -> np.ndarray:
         if isinstance(src, Imm):
             val = int(src.value)
-            lo, hi = (-(1 << (self._precision - 1)),
-                      (1 << (self._precision - 1)) - 1) if signed else \
-                (0, (1 << self._precision) - 1)
-            if not lo <= val <= hi:
-                raise ValueError(
-                    f"immediate {val} exceeds {self._precision}-bit range")
+            _check_imm(val, self._precision, signed)
             return np.full(self.lanes, val, dtype=np.int64)
         if isinstance(src, _TmpSentinel):
             self._check_tmp(src)
@@ -435,9 +450,7 @@ class PIMDevice(_DeviceCore):
         vals = np.asarray(values, dtype=np.int64).ravel()
         if vals.size > self.lanes:
             raise ValueError(f"{vals.size} values exceed {self.lanes} lanes")
-        lo = -(1 << (self._precision - 1)) if signed else 0
-        hi = (1 << (self._precision - 1)) - 1 if signed \
-            else (1 << self._precision) - 1
+        lo, hi = _lane_range(self._precision, signed)
         if vals.size and (vals.min() < lo or vals.max() > hi):
             raise ValueError(f"values exceed {self._precision}-bit range")
         full = np.zeros(self.lanes, dtype=np.int64)
@@ -473,9 +486,7 @@ class PIMDevice(_DeviceCore):
         if vals.shape[1] > self.lanes:
             raise ValueError(
                 f"{vals.shape[1]} values exceed {self.lanes} lanes")
-        lo = -(1 << (self._precision - 1)) if signed else 0
-        hi = (1 << (self._precision - 1)) - 1 if signed \
-            else (1 << self._precision) - 1
+        lo, hi = _lane_range(self._precision, signed)
         if vals.size and (vals.min() < lo or vals.max() > hi):
             raise ValueError(f"values exceed {self._precision}-bit range")
         full = np.zeros((idx.size, self.lanes), dtype=np.int64)
@@ -684,32 +695,29 @@ class PIMDevice(_DeviceCore):
             base_rows: Row indices substituted for the program's
                 :class:`~repro.pim.isa.Rel` operands, one replay each,
                 in order.
-            mode: ``"auto"`` runs the compiled plan when provably
-                equivalent (falling back to the interpreted batched
-                executor if lowering declined the program, and to
-                eager on a hazard); ``"compiled"`` is ``"auto"`` with
-                the explicit intent recorded in metrics/spans;
+            mode: ``"auto"`` runs the program's compiled plan (see
+                :mod:`repro.pim.lowering`) when
+                :meth:`batch_rejection_reason` proves it equivalent to
+                eager replay, and replays eagerly otherwise;
                 ``"eager"`` forces one-by-one replay through the
-                ordinary micro-op methods; ``"batched"`` demands the
-                interpreted vectorized executor and raises if the
-                program/bases combination cannot be batched.
+                ordinary micro-op methods, the equivalence reference.
 
-        Vectorized execution (batched or compiled, see
-        :mod:`repro.pim.lowering`) performs the recorded ops across
-        all base rows at once and charges the ledger in O(1) (program
-        aggregate x number of bases).  Memory contents, ledger totals
-        and (when tracing) the trace stream are identical to the eager
-        path; the program's hazard analysis plus the base-row checks
-        below guarantee it, and equivalence tests pin it.
+        Compiled execution performs the recorded ops across all base
+        rows at once and charges the ledger in O(1) (program aggregate
+        x number of bases).  Memory contents, ledger totals and (when
+        tracing) the trace stream are identical to the eager path; the
+        program's hazard analysis plus the base-row checks below
+        guarantee it, and equivalence tests pin it.
 
-        Every call records its decision in the metrics registry
-        (``pim_replay_total{mode=...}``; auto/compiled-mode fallbacks
-        also bump ``pim_replay_fallback_total{reason=...}`` with the
-        hazard rule that fired, see :meth:`batch_rejection_reason`,
-        or ``"lowering-unsupported"``) and, when tracing, runs under a
-        ``run_program:<name>`` span carrying the same attributes.
+        Every call records the executor that ran, ``compiled`` or
+        ``eager``, in the metrics registry (``pim_replay_total{mode}``;
+        auto-mode fallbacks also bump
+        ``pim_replay_fallback_total{reason}`` with the hazard rule that
+        fired, see :meth:`batch_rejection_reason`) and, when tracing,
+        runs under a ``run_program:<name>`` span carrying the same
+        attributes.
         """
-        if mode not in ("auto", "eager", "batched", "compiled"):
+        if mode not in ("auto", "eager"):
             raise ValueError(f"unknown replay mode {mode!r}")
         if program.config_digest != self.config.digest():
             raise ValueError(
@@ -721,50 +729,35 @@ class PIMDevice(_DeviceCore):
             reason: Optional[str] = "mode-forced-eager"
         else:
             reason = self.batch_rejection_reason(program, bases)
-        if mode == "batched" and reason is not None:
-            raise ValueError(
-                f"program cannot be replayed in batched mode for these "
-                f"base rows: {reason} (see PIMProgram.batchable)")
-        plan = None
-        fallback: Optional[str] = reason
-        if reason is None and mode in ("auto", "compiled"):
-            from repro.pim.lowering import compiled_plan
-            plan = compiled_plan(program, self.config)
-            if plan is None:
-                fallback = "lowering-unsupported"
-        if reason is not None:
-            executed = "eager"
-        elif plan is not None:
-            executed = "compiled"
-        else:
-            executed = "batched"
+        executed = "eager" if reason is not None else "compiled"
         registry = get_registry()
         registry.counter(
             "pim_replay_total",
             "run_program calls by executed replay mode").inc(
                 mode=executed)
-        if mode in ("auto", "compiled") and fallback is not None:
-            registry.counter(
-                "pim_replay_fallback_total",
-                "auto-mode compiled/batched->eager fallbacks by rule"
-            ).inc(reason=fallback)
         attrs = {"program": program.name, "bases": len(bases),
                  "requested_mode": mode, "executed_mode": executed}
-        if fallback is not None:
-            attrs["fallback_reason"] = fallback
+        if reason is not None:
+            attrs["fallback_reason"] = reason
+            if mode == "auto":
+                registry.counter(
+                    "pim_replay_fallback_total",
+                    "auto-mode compiled->eager fallbacks by rule"
+                ).inc(reason=reason)
+        plan = None
+        if reason is None:
+            from repro.pim.lowering import compiled_plan
+            plan = compiled_plan(program, self.config)
         with get_tracer().span(f"run_program:{program.name}",
                                device=self, category="replay",
                                **attrs):
             self.set_precision(program.initial_precision)
-            if reason is not None:
+            if plan is None:
                 for base in bases:
                     program.replay(self, base)
-                return
-            base_arr = np.asarray(bases, dtype=np.int64)
-            if plan is not None:
-                self._replay_compiled(program, plan, base_arr)
             else:
-                self._replay_batched(program, base_arr)
+                self._replay_compiled(program, plan,
+                                      np.asarray(bases, dtype=np.int64))
 
     def _replay_compiled(self, program, plan,
                          bases: np.ndarray) -> None:
@@ -779,7 +772,7 @@ class PIMDevice(_DeviceCore):
 
     def batch_rejection_reason(self, program,
                                bases: List[int]) -> Optional[str]:
-        """Why batched replay is not provably equivalent (None = it is).
+        """Why compiled replay is not provably equivalent (None = it is).
 
         The structural half (:attr:`PIMProgram.batchable`) covers
         relative-operand and register hazards; the rest checks the
@@ -787,14 +780,14 @@ class PIMDevice(_DeviceCore):
         increasing (eager order equals row order) and no collision
         between absolute rows and the rows addressed relatively.
         A program whose relative op order is *not* provably safe can
-        still batch when the bases are spread further apart than the
+        still vectorize when the bases are spread further apart than the
         program's relative footprint (disjoint footprints cannot
         alias across elements).
 
         With a single base row the cross-element hazards vanish: the
-        batched executor's per-element Tmp/abs buffers reproduce eager
+        compiled plan's per-element Tmp/abs slots reproduce eager
         visibility exactly at ``reps == 1`` (read-before-first-write
-        broadcasts the pre-state, later reads see the buffered write,
+        broadcasts the pre-state, later reads see the cached write,
         and the lone element's value is what gets written back), so
         the ``registers_ok`` and ``rel_order_safe`` structural checks
         are skipped.  The fault-injection and abs/rel aliasing checks
@@ -814,7 +807,7 @@ class PIMDevice(_DeviceCore):
                 self._fault_injector.transient:
             # Transient read errors must hit each per-row read in
             # eager order so the seeded draw sequence is well defined;
-            # the batched path reads memory wholesale and would skip
+            # the compiled path reads memory wholesale and would skip
             # the corruption hook.
             return "fault-injection-active"
         if len(bases) > 1 and any(b2 <= b1 for b1, b2 in
@@ -847,84 +840,6 @@ class PIMDevice(_DeviceCore):
         if program.abs_read_rows & rel_written:
             return "abs-read-aliases-rel-write"
         return None
-
-    def _bases_batchable(self, program, bases: List[int]) -> bool:
-        """Back-compat wrapper: batched replay provably equivalent?"""
-        return self.batch_rejection_reason(program, bases) is None
-
-    def _replay_batched(self, program, bases: np.ndarray) -> None:
-        reps = int(bases.size)
-        self.ledger.charge_program(program.aggregate, reps)
-        # O(1) counterpart of the per-step clock hook in _charge_step.
-        if CLOCK.enabled and self._advances_clock:
-            CLOCK.advance(program.aggregate.cycles * reps)
-        # Per-element views of Tmp registers and absolute rows: each
-        # base row gets its own copy (created lazily on first write;
-        # the hazard rules guarantee write-before-first-read), and the
-        # final memory/register state is the last base's value --
-        # exactly what sequential eager replay leaves behind.
-        tmp_buf: Dict[int, np.ndarray] = {}
-        abs_buf: Dict[int, np.ndarray] = {}
-
-        def read(src: Src, signed: bool) -> np.ndarray:
-            if isinstance(src, Imm):
-                return np.full((reps, self.lanes), int(src.value),
-                               dtype=np.int64)
-            if isinstance(src, _TmpSentinel):
-                self._check_tmp(src)
-                buf = tmp_buf.get(src.index)
-                if buf is not None:
-                    return self._unpack(buf, signed)
-                return np.broadcast_to(
-                    self._unpack(self._tmp[src.index], signed),
-                    (reps, self.lanes))
-            if isinstance(src, Rel):
-                return self._unpack(self._mem[bases + int(src)], signed)
-            self._check_row(src)
-            buf = abs_buf.get(int(src))
-            if buf is not None:
-                return self._unpack(buf, signed)
-            return np.broadcast_to(self._unpack(self._mem[src], signed),
-                                   (reps, self.lanes))
-
-        def write(dst: Dst, values: np.ndarray) -> None:
-            packed = self._pack(values)
-            if isinstance(dst, _TmpSentinel):
-                self._check_tmp(dst)
-                buf = tmp_buf.get(dst.index)
-                if buf is None:
-                    buf = tmp_buf[dst.index] = np.empty(
-                        (reps, self.config.row_bytes), dtype=np.uint8)
-                buf[:] = packed
-            elif isinstance(dst, Rel):
-                self._mem[bases + int(dst)] = packed
-            else:
-                self._check_row(dst)
-                buf = abs_buf.get(int(dst))
-                if buf is None:
-                    buf = abs_buf[int(dst)] = np.empty(
-                        (reps, self.config.row_bytes), dtype=np.uint8)
-                buf[:] = packed
-
-        for op in program.ops:
-            if op.method == "set_precision":
-                self.set_precision(op.kwargs["precision"])
-                continue
-            signed = _read_signedness(op.method, op.kwargs)
-            vals = tuple(read(s, signed) for s in op.srcs)
-            if op.method == "mul":
-                _check_multiplier(vals[1],
-                                  op.kwargs.get("multiplier_bits"),
-                                  bool(op.kwargs.get("signed", True)))
-            write(op.dst, _compute(op.method, self._precision, vals,
-                                   op.kwargs))
-
-        for index, buf in tmp_buf.items():
-            self._tmp[index][:] = buf[-1]
-        for row, buf in abs_buf.items():
-            self._mem[row][:] = buf[-1]
-        if self._trace_enabled:
-            self._emit_program_trace(program, bases)
 
     def _emit_program_trace(self, program, bases: np.ndarray) -> None:
         """Emit the eager-identical trace stream for a vectorized run."""

@@ -1,13 +1,13 @@
 """Compiled replay: lower :class:`~repro.pim.program.PIMProgram` IR to
 fused NumPy execution plans.
 
-The batched replay path (:meth:`PIMDevice._replay_batched`) interprets
-the recorded op stream once per ``run_program`` call: every op unpacks
-its source rows from bytes into int64 lane values, dispatches through
-:func:`repro.pim.device._compute`, and packs the result back to bytes.
-Profiling shows the byte<->int64 conversions dominate (the arithmetic
-itself is a fraction of the cost), so this module compiles the same IR
-*once* into a :class:`CompiledPlan`:
+Eager replay (:meth:`PIMProgram.replay`) interprets the recorded op
+stream once per base row, and an op-by-op vectorized interpreter would
+still unpack every source row from bytes into int64 lane values and
+pack every result back -- conversions that cost more than the
+arithmetic itself.  This module therefore compiles the IR *once* into
+a :class:`CompiledPlan`, the only vectorized executor
+:meth:`PIMDevice.run_program` has:
 
 * the op stream is split into *sections* at ``set_precision``
   boundaries; within a section every slot (Tmp register, relative
@@ -20,17 +20,20 @@ itself is a fraction of the cost), so this module compiles the same IR
   semantics are risky to re-derive (division always; multiplication at
   widths whose exact product exceeds int64; extreme bit shifts)
   fall back to converting their operands to int64 and calling the very
-  same :func:`~repro.pim.device._compute` the interpreted paths use,
-  so divergence is impossible by construction;
+  same :func:`~repro.pim.device._compute` eager execution uses, so
+  divergence is impossible by construction;
 * dirty slots are flushed to SRAM bytes only at section boundaries and
-  at the end of the plan, with the same last-base-wins write-back rule
-  as batched replay.
+  at the end of the plan, with a last-base-wins write-back: the final
+  state eager replay leaves behind is the last base's.
 
 Equivalence contract: executing a plan leaves memory, Tmp registers and
-the trace stream bit-identical to batched (hence eager) replay whenever
-:meth:`PIMDevice.batch_rejection_reason` returns ``None`` -- the same
-hazard precondition batched replay uses, plus the bind-time minimum
-base gap rule below for relative-operand visibility.  Ledger charging
+the trace stream bit-identical to eager replay in base order whenever
+:meth:`PIMDevice.batch_rejection_reason` returns ``None`` -- the
+hazard precondition checked before every vectorized replay, plus the
+bind-time minimum base gap rule below for relative-operand visibility.
+Every recorded program lowers (ops without a hand-lowered form take
+the per-op fallback), so ``run_program`` never declines a plan; its
+only fallback is eager replay on a hazard.  Ledger charging
 is not done here at all: :meth:`PIMDevice.run_program` keeps the O(1)
 ``aggregate x reps`` charge, so cycles/energy stay bit-exact trivially.
 
@@ -43,11 +46,6 @@ bases, so ``|w - r| < min_gap`` proves disjointness -- the warp kernel
 (stride 10, span 9) never flushes.  Otherwise the plan conservatively
 scatters all dirty relative slots before the gather and drops cached
 reads that may have been overwritten.
-
-Lowering may refuse a program (``None`` from :func:`compiled_plan`)
-when an op cannot be proven exactly lowerable; ``run_program`` then
-falls back to the interpreted batched executor and counts the fallback
-(``pim_replay_fallback_total{reason="lowering-unsupported"}``).
 
 ``numba.njit`` is used opportunistically when the package is
 importable (it is not a dependency): the hot unsigned saturating-add
@@ -176,9 +174,9 @@ class _Exec:
         self.dirty: Dict[Tuple[str, int], bool] = {}
         self.rel_seq: Dict[int, int] = {}
         self._seq = 0
-        #: Byte images of written Tmp/abs slots, carried across
-        #: precision sections (reinterpretation happens on bytes,
-        #: exactly as in batched replay's per-base buffers).
+        #: Byte images of written Tmp/abs slots, one row per base,
+        #: carried across precision sections (reinterpretation
+        #: happens on bytes, exactly as a set_precision does eagerly).
         self.carriers: Dict[Tuple[str, int], np.ndarray] = {}
 
     # -- section lifecycle ------------------------------------------
@@ -203,7 +201,7 @@ class _Exec:
         self.dirty.clear()
 
     def finalize(self) -> None:
-        """Last-base-wins write-back, identical to batched replay."""
+        """Last-base-wins write-back: eager replay's final state."""
         for key, carrier in self.carriers.items():
             kind, index = key
             if kind == "t":
@@ -278,10 +276,6 @@ class _Exec:
 
 # -- op lowering ------------------------------------------------------------
 
-def _imm_value(src: Imm) -> int:
-    return int(src.value)
-
-
 def _src_reader(src, n: int, D, sign_convert: bool,
                 imm_semantic: bool, mask: int):
     """Compile one source operand into ``reader(ex) -> array``.
@@ -290,14 +284,13 @@ def _src_reader(src, n: int, D, sign_convert: bool,
     signed values (needed by sign-sensitive ops under a signed read;
     unsigned patterns already *are* their semantic values).
     ``imm_semantic`` keeps an immediate's raw value instead of its
-    masked pattern -- batched replay broadcasts ``np.full(src.value)``
-    for every value-sensitive op, even a negative immediate under an
-    unsigned read, and compiled execution must agree.
+    masked pattern -- eager execution broadcasts ``np.full(src.value)``
+    for every value-sensitive op, and a negative immediate under a
+    signed read is not its pattern.  The recorder has already checked
+    the value against the op's lane range.
     """
     if isinstance(src, Imm):
-        value = _imm_value(src)
-        if not -(1 << 63) <= value < (1 << 63):
-            raise _Unsupported("immediate exceeds int64")
+        value = int(src.value)
         if imm_semantic or n >= 64:
             const = np.array(value, dtype=D)
         else:
@@ -465,19 +458,6 @@ def _lower_op(op, n: int, lanes: int):
         saturate = bool(kw.get("saturate", True))
         multiplier_bits = kw.get("multiplier_bits")
         if n >= 64:
-            imm_lo, imm_hi = -(1 << 63), (1 << 63) - 1
-        elif signed:
-            imm_lo, imm_hi = -(1 << (n - 1)), (1 << (n - 1)) - 1
-        else:
-            imm_lo, imm_hi = 0, mask
-        for src in op.srcs:
-            if isinstance(src, Imm) and \
-                    not imm_lo <= _imm_value(src) <= imm_hi:
-                # Out-of-lane-range immediates make ops.multiply
-                # raise; route through _compute for the identical
-                # exception.
-                raise _Unsupported("immediate outside lane range")
-        if n >= 64:
             W = np.int64  # eager's int64 product wraps identically
         elif n == 8 or (n == 16 and signed):
             W = np.int32
@@ -587,7 +567,7 @@ class CompiledPlan:
         return sum(len(s.steps) for s in self.sections)
 
     def execute(self, device, bases: np.ndarray) -> None:
-        """Run the plan; bit-identical to batched replay.
+        """Run the plan; bit-identical to eager replay.
 
         The caller (``run_program``) has already verified the hazard
         precondition and charged the ledger aggregate.
@@ -607,8 +587,8 @@ class CompiledPlan:
         device.set_precision(self.final_precision)
 
 
-def compiled_plan(program, config) -> Optional[CompiledPlan]:
-    """The memoized compiled plan for a program (None: never fails).
+def compiled_plan(program, config) -> CompiledPlan:
+    """The memoized compiled plan for a program.
 
     The plan is cached on the program object itself
     (``object.__setattr__`` on the frozen dataclass, the same pattern
@@ -619,9 +599,9 @@ def compiled_plan(program, config) -> Optional[CompiledPlan]:
     counts go to the metrics registry (``pim_plan_compile_seconds``,
     ``pim_plan_cache_{hits,misses}_total``).
     """
-    plan = getattr(program, "_compiled_plan", False)
+    plan = getattr(program, "_compiled_plan", None)
     registry = get_registry()
-    if plan is not False:
+    if plan is not None:
         registry.counter(
             "pim_plan_cache_hits_total",
             "Compiled-plan lookups served from the per-program memo"
@@ -631,10 +611,7 @@ def compiled_plan(program, config) -> Optional[CompiledPlan]:
         "pim_plan_cache_misses_total",
         "Compiled-plan lookups that required lowering").inc()
     start = time.perf_counter()
-    try:
-        built: Optional[CompiledPlan] = CompiledPlan(program, config)
-    except _Unsupported:
-        built = None
+    built = CompiledPlan(program, config)
     registry.histogram(
         "pim_plan_compile_seconds",
         "Wall-clock seconds spent lowering PIMPrograms",

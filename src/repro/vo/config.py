@@ -58,9 +58,11 @@ class TrackerConfig:
         pim_device_detect: Run the PIM frontend's edge detection
             through the simulated device with compiled-program replay
             (bit-identical to the default vectorized path, and it
-            fills a per-frame cycle ledger).  Off by default: the
-            numpy mirror is faster when no device accounting is
-            wanted.
+            fills a per-frame cycle ledger).  Off by default, which
+            keeps simulated-device state out of the frontend; it is
+            not a speed trade-off -- at QVGA the device replay
+            measured 4.1 ms/frame against 6.2 ms/frame for the numpy
+            mirror (``framebench/baseline.json`` findings).
         validate_inputs: Reject/repair corrupted gray/depth frames
             (:func:`repro.vo.health.validate_frame`) before they reach
             the frontends.  Clean frames pass through untouched, so

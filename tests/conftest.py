@@ -1,4 +1,4 @@
-"""Shared test fixtures: resource-leak detection.
+"""Shared test fixtures: resource-leak detection and replay outcomes.
 
 Every test in the suite runs under :func:`no_leaked_workers`, which
 fails the *leaking* test (not some innocent later one) when it leaves
@@ -18,6 +18,9 @@ to be in flight when the test body returns, it just has to finish.
 The baseline is captured per test, so the long-lived ``forkserver``
 helper process (which ``multiprocessing`` keeps for the session) and
 daemon threads started by earlier fixtures are not misattributed.
+
+:func:`run_auto` replays a program under ``mode="auto"`` and reports
+which executor ran and why, read back from the replay metrics.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import threading
 import time
 
 import pytest
+
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
 #: Thread-name prefixes owned by service/shard planes; anything else
 #: (e.g. pytest's own machinery) is not this fixture's business.
@@ -74,3 +79,27 @@ def no_leaked_workers():
             f"leaked child processes: "
             f"{[(p.name, p.pid) for p in children]}")
     assert not problems, "; ".join(problems)
+
+
+@pytest.fixture
+def run_auto():
+    """``run(device, program, bases) -> (executed_mode, fallback_reason)``.
+
+    Replays under ``mode="auto"`` with an isolated metrics registry and
+    reads the decision back from ``pim_replay_total`` and
+    ``pim_replay_fallback_total`` (``fallback_reason`` is None when the
+    compiled plan ran).
+    """
+    def run(device, program, bases):
+        previous = get_registry()
+        registry = MetricsRegistry()
+        set_registry(registry)
+        try:
+            device.run_program(program, bases, mode="auto")
+        finally:
+            set_registry(previous)
+        [replay] = registry.counter("pim_replay_total").series()
+        fallbacks = registry.counter("pim_replay_fallback_total").series()
+        reason = fallbacks[0]["labels"]["reason"] if fallbacks else None
+        return replay["labels"]["mode"], reason
+    return run

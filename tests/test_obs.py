@@ -118,8 +118,7 @@ class TestSpanAttribution:
         kernel_ids = {s.span_id for s in tracer.spans
                       if s.category == "kernel"}
         assert all(s.parent_id in kernel_ids for s in replay)
-        assert all(s.attrs["executed_mode"] in ("eager", "batched",
-                                                "compiled")
+        assert all(s.attrs["executed_mode"] in ("eager", "compiled")
                    for s in replay)
 
 
@@ -223,10 +222,10 @@ class TestConsoleSummary:
 class TestMetricsRegistry:
     def test_counter_labels_and_total(self):
         c = Counter("replays")
-        c.inc(mode="batched")
-        c.inc(mode="batched")
+        c.inc(mode="auto")
+        c.inc(mode="auto")
         c.inc(mode="eager")
-        assert c.value(mode="batched") == 2
+        assert c.value(mode="auto") == 2
         assert c.value(mode="eager") == 1
         assert c.total() == 3
         with pytest.raises(ValueError):
@@ -387,12 +386,13 @@ class TestReplayReasons:
             mode="eager") == 1
         assert registry.counter("pim_replay_fallback_total").total() == 0
 
-    def test_batched_mode_error_names_reason(self):
+    def test_fallback_reason_is_named(self, run_auto):
         program = self._program(
             lambda r: r.add(Rel(0), Rel(0), Imm(1), signed=False))
         device = PIMDevice(self.CONFIG)
-        with pytest.raises(ValueError, match="bases-not-increasing"):
-            device.run_program(program, [2, 1], mode="batched")
+        assert run_auto(device, program, [2, 1]) == \
+            ("eager", "bases-not-increasing")
+        assert run_auto(device, program, [1, 2]) == ("compiled", None)
 
 
 class TestLogging:

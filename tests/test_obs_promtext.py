@@ -49,10 +49,10 @@ class TestRender:
 
     def test_labelled_series(self, registry):
         counter = registry.counter("replays_total")
-        counter.inc(2, mode="batched")
+        counter.inc(2, mode="auto")
         counter.inc(1, mode="eager")
         text = render_prometheus_text(registry)
-        assert 'replays_total{mode="batched"} 2' in text
+        assert 'replays_total{mode="auto"} 2' in text
         assert 'replays_total{mode="eager"} 1' in text
 
     def test_label_escaping(self, registry):

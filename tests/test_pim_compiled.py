@@ -1,6 +1,7 @@
 """The compiled replay backend: bit-, ledger- and trace-exactness.
 
-Property tests drive ``mode="compiled"`` against eager replay on
+Property tests drive ``mode="auto"`` (the compiled plan whenever the
+hazard analysis allows) against eager replay on
 randomized recorded programs (random op mixes, Rel offsets, base-row
 sets) and assert complete machine-state equality; directed tests pin
 the plan cache metrics, the fallback accounting, and the single-base
@@ -117,13 +118,13 @@ def _assert_state_equal(a: PIMDevice, b: PIMDevice) -> None:
        seed=st.integers(0, 2**16))
 def test_compiled_matches_eager(ops, precision, switch_precision,
                                 switch_at, bases, seed):
-    """mode="compiled" is bit-, ledger- and trace-exact vs eager."""
+    """mode="auto" (compiled) is bit-, ledger- and trace-exact vs eager."""
     switch = None if switch_precision is None else \
         (switch_at, switch_precision)
     program = _record(ops, precision, switch)
     dev_c = _fresh_device(seed)
     dev_e = _fresh_device(seed)
-    dev_c.run_program(program, bases, mode="compiled")
+    dev_c.run_program(program, bases, mode="auto")
     dev_e.run_program(program, bases, mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
@@ -132,11 +133,11 @@ def test_compiled_matches_eager(ops, precision, switch_precision,
 @given(ops=st.lists(_op, min_size=1, max_size=8),
        seed=st.integers(0, 2**16))
 def test_single_base_always_vectorizes(ops, seed):
-    """At one base row every program takes a vectorized path.
+    """At one base row every program takes the compiled path.
 
     The single-base hazard relaxation skips the register-reuse and
-    rel-order structural checks (the private per-element buffers are
-    provably eager-equivalent at one rep), so ``mode="compiled"`` must
+    rel-order structural checks (the private per-element slots are
+    provably eager-equivalent at one rep), so ``mode="auto"`` must
     never fall back to eager -- and must still match it exactly.
     """
     program = _record(ops, 8)
@@ -145,7 +146,7 @@ def test_single_base_always_vectorizes(ops, seed):
     eager_before = counter.value(mode="eager")
     dev_c = _fresh_device(seed)
     dev_e = _fresh_device(seed)
-    dev_c.run_program(program, [5], mode="compiled")
+    dev_c.run_program(program, [5], mode="auto")
     assert counter.value(mode="eager") == eager_before
     dev_e.run_program(program, [5], mode="eager")
     _assert_state_equal(dev_c, dev_e)
@@ -158,7 +159,7 @@ def test_compiled_matches_eager_on_kernel_programs():
             ("lpf", lpf_program(cfg)),
             ("hpf", hpf_program(cfg, scratch_base=200)),
             ("nms", nms_program(cfg, th1=20, th2=40, scratch_base=210))):
-        assert compiled_plan(program, cfg) is not None, name
+        assert compiled_plan(program, cfg).num_ops == len(program), name
         ref, dev = PIMDevice(cfg), PIMDevice(cfg)
         rng = np.random.default_rng(11)
         image = rng.integers(0, 256, ref._mem.shape, dtype=np.uint8)
@@ -166,7 +167,7 @@ def test_compiled_matches_eager_on_kernel_programs():
         dev._mem[:] = image
         bases = [5, 20, 35, 50]
         ref.run_program(program, bases, mode="eager")
-        dev.run_program(program, bases, mode="compiled")
+        dev.run_program(program, bases, mode="auto")
         assert np.array_equal(ref._mem, dev._mem), name
         for field in _LEDGER_FIELDS:
             assert getattr(ref.ledger, field) == \
@@ -183,9 +184,9 @@ def test_plan_is_compiled_once_per_program():
     program = rec.finish()
     h0, m0 = hits.total(), misses.total()
     device = PIMDevice(CONFIG)
-    device.run_program(program, [1], mode="compiled")
-    device.run_program(program, [1], mode="compiled")
-    device.run_program(program, [1], mode="compiled")
+    device.run_program(program, [1], mode="auto")
+    device.run_program(program, [1], mode="auto")
+    device.run_program(program, [1], mode="auto")
     assert misses.total() == m0 + 1, "plan compiled more than once"
     assert hits.total() == h0 + 2
 
@@ -204,7 +205,7 @@ def test_compiled_mode_falls_back_on_hazard():
     reason = dev_c.batch_rejection_reason(program, [1, 2])
     assert reason == "register-reuse-hazard"
     before = fallback.value(reason=reason)
-    dev_c.run_program(program, [1, 2], mode="compiled")
+    dev_c.run_program(program, [1, 2], mode="auto")
     assert fallback.value(reason=reason) == before + 1
     dev_e.run_program(program, [1, 2], mode="eager")
     _assert_state_equal(dev_c, dev_e)
@@ -216,7 +217,7 @@ def test_mid_program_precision_switch_falls_back_multi_base():
     into the next base's replay of the earlier ops (changing both the
     bytes of precision-sensitive ops and the per-precision ledger
     profile), which op-major execution cannot reproduce.  Leading
-    switches stay batchable, and a single base is always safe."""
+    switches stay vectorizable, and a single base is always safe."""
     rec = ProgramRecorder(CONFIG, name="setp-mid")
     rec.add(Rel(0), Rel(0), Imm(100), saturate=True, signed=False)
     rec.set_precision(16)
@@ -229,7 +230,7 @@ def test_mid_program_precision_switch_falls_back_multi_base():
         "precision-switch-mid-program"
     dev_c = _fresh_device(7)
     dev_e = _fresh_device(7)
-    dev_c.run_program(program, [1, 2], mode="compiled")
+    dev_c.run_program(program, [1, 2], mode="auto")
     dev_e.run_program(program, [1, 2], mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
@@ -266,13 +267,13 @@ def test_abs_rel_alias_checks_survive_relaxation():
         "abs-read-aliases-rel-write"
     dev_c = _fresh_device(9)
     dev_e = _fresh_device(9)
-    dev_c.run_program(program, [5], mode="compiled")   # falls back
+    dev_c.run_program(program, [5], mode="auto")   # falls back
     dev_e.run_program(program, [5], mode="eager")
     _assert_state_equal(dev_c, dev_e)
 
 
 def test_compiled_requested_mode_recorded_in_span():
-    """Spans carry requested vs executed mode for the compiled path."""
+    """Spans carry requested (auto) vs executed (compiled) mode."""
     from repro.obs.tracer import Tracer, get_tracer, set_tracer
     rec = ProgramRecorder(CONFIG, name="spanprog")
     rec.add(Rel(0), Rel(0), Imm(2))
@@ -283,12 +284,12 @@ def test_compiled_requested_mode_recorded_in_span():
     set_tracer(tracer)
     tracer.enable()
     try:
-        device.run_program(program, [1], mode="compiled")
+        device.run_program(program, [1], mode="auto")
     finally:
         tracer.disable()
         set_tracer(old)
     replay = [s for s in tracer.spans
               if s.name.startswith("run_program")]
     assert replay
-    assert replay[-1].attrs["requested_mode"] == "compiled"
+    assert replay[-1].attrs["requested_mode"] == "auto"
     assert replay[-1].attrs["executed_mode"] == "compiled"

@@ -136,7 +136,7 @@ class TestResetContract:
         dev.run_program(program, [0])
         assert _rows(dev) == want
 
-    def test_transient_injector_forces_eager_replay(self):
+    def test_transient_injector_forces_eager_replay(self, run_auto):
         program = self._program()
         dev = PIMDevice(CFG)
         assert dev.batch_rejection_reason(program, [0]) is None
@@ -144,15 +144,16 @@ class TestResetContract:
             seed=1, read_flip_prob=0.01)))
         assert dev.batch_rejection_reason(program, [0]) == \
             "fault-injection-active"
-        with pytest.raises(ValueError, match="fault-injection-active"):
-            dev.run_program(program, [0], mode="batched")
+        assert run_auto(dev, program, [0]) == \
+            ("eager", "fault-injection-active")
         dev.detach_fault_injector()
         assert dev.batch_rejection_reason(program, [0]) is None
+        assert run_auto(dev, program, [0]) == ("compiled", None)
 
     def test_stored_only_injector_still_batches(self):
-        # Stored flips corrupt the array once at attach time; batched
+        # Stored flips corrupt the array once at attach time; compiled
         # replay reads the corrupted memory wholesale, so there is no
-        # per-read hook to preserve and batching stays legal.
+        # per-read hook to preserve and vectorizing stays legal.
         program = self._program()
         dev = PIMDevice(CFG)
         dev.attach_fault_injector(FaultInjector(FaultPlan(

@@ -87,6 +87,83 @@ class TestRecorder:
         assert dict(rec.ledger.op_counts) == dict(device.ledger.op_counts)
 
 
+def _boundary_immediates(bits, signed):
+    """min - 1, min, max, max + 1 of the op's lane range."""
+    if signed:
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    else:
+        # 64-bit lanes are host-bound int64, so 2**63 is out of range.
+        lo, hi = 0, min((1 << bits) - 1, (1 << 63) - 1)
+    return [lo - 1, lo, hi, hi + 1]
+
+
+#: Immediate-taking ops with their signedness-bearing kwargs (logic
+#: ops always read unsigned).
+_IMM_OPS = (
+    ("add", {"saturate": True}),
+    ("sub", {}),
+    ("mul", {"rshift": 1}),
+    ("cmp_gt", {}),
+    ("copy", {}),
+    ("logic_xor", None),
+)
+
+
+class TestImmediateRange:
+    """The recorder accepts exactly the immediates eager execution does."""
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("which", range(4))
+    def test_recorder_matches_eager_and_auto_matches_eager(
+            self, bits, signed, which, run_auto):
+        value = _boundary_immediates(bits, signed)[which]
+        for method, extra in _IMM_OPS:
+            kwargs = {} if extra is None else {**extra, "signed": signed}
+            srcs = (Imm(value),) if method == "copy" else \
+                (Rel(0), Imm(value))
+            rec = ProgramRecorder(SMALL)
+            rec.set_precision(bits)
+            try:
+                getattr(rec, method)(Rel(1), *srcs, **kwargs)
+                recorded = True
+            except ValueError:
+                recorded = False
+            device = PIMDevice(SMALL)
+            device.set_precision(bits)
+            eager_srcs = tuple(2 if s == Rel(0) else s for s in srcs)
+            try:
+                getattr(device, method)(3, *eager_srcs, **kwargs)
+                executed = True
+            except ValueError:
+                executed = False
+            assert recorded == executed, (method, bits, signed, value)
+            if not recorded:
+                continue
+            program = rec.finish()
+            dev_a, dev_e = PIMDevice(SMALL), PIMDevice(SMALL)
+            _seed(dev_a, bits)
+            _seed(dev_e, bits)
+            assert run_auto(dev_a, program, [1, 4, 7]) == \
+                ("compiled", None)
+            dev_e.run_program(program, [1, 4, 7], mode="eager")
+            assert np.array_equal(dev_a._mem, dev_e._mem), method
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(dev_a._tmp, dev_e._tmp)), method
+            assert dev_a.ledger.cycles == dev_e.ledger.cycles
+            assert dict(dev_a.ledger.op_profile) == \
+                dict(dev_e.ledger.op_profile), method
+
+    def test_out_of_range_immediate_fails_at_record_time(self):
+        # 200 fits an unsigned 8-bit lane, but add reads signed.
+        rec = ProgramRecorder(SMALL)
+        with pytest.raises(ValueError, match="exceeds 8-bit range"):
+            rec.add(Rel(1), Rel(0), Imm(200))
+        rec.set_precision(64)
+        with pytest.raises(ValueError, match="exceeds 64-bit range"):
+            rec.add(Rel(1), Rel(0), Imm(1 << 63), signed=False)
+
+
 class TestBatchability:
     def test_lpf_body_is_batchable(self):
         rec = ProgramRecorder(SMALL)
@@ -97,7 +174,7 @@ class TestBatchability:
 
     def test_read_below_after_write_is_hazard(self):
         # Writing Rel(0) then reading Rel(-1) later: eager order would
-        # see the freshly-written value, batched would not.
+        # see the freshly-written value, vectorized would not.
         rec = ProgramRecorder(SMALL)
         rec.copy(Rel(0), Imm(1))
         rec.add(Rel(1), Rel(-1), Imm(1))
@@ -118,19 +195,22 @@ class TestBatchability:
         rec.copy(12, Rel(0))
         assert not rec.finish().batchable
 
-    def test_batched_mode_raises_on_hazard(self):
+    def test_hazard_falls_back_to_eager(self, run_auto):
         rec = ProgramRecorder(SMALL)
         rec.add(Rel(0), Rel(0), TMP)
         rec.copy(TMP, Rel(0))
         program = rec.finish()
-        device = PIMDevice(SMALL)
-        with pytest.raises(ValueError):
-            device.run_program(program, [1, 2], mode="batched")
-        device.run_program(program, [1, 2])  # auto falls back to eager
+        device, reference = PIMDevice(SMALL), PIMDevice(SMALL)
+        _seed(device)
+        _seed(reference)
+        assert run_auto(device, program, [1, 2]) == \
+            ("eager", "register-reuse-hazard")
+        reference.run_program(program, [1, 2], mode="eager")
+        assert np.array_equal(device._mem, reference._mem)
 
-    def test_footprint_disjoint_bases_batch_unsafe_order(self):
+    def test_footprint_disjoint_bases_batch_unsafe_order(self, run_auto):
         # Write offset 0, then read offset 1: with stride-1 bases the
-        # batched op order would leak a later base's write into an
+        # vectorized op order would leak a later base's write into an
         # earlier base's read (the warp-kernel shape).
         rec = ProgramRecorder(SMALL)
         rec.copy(Rel(0), Imm(9))
@@ -139,23 +219,23 @@ class TestBatchability:
         assert not program.rel_order_safe
         assert program.rel_span == 1
         device = PIMDevice(SMALL)
-        # ...batches fine when bases are strided past the footprint,
-        with pytest.raises(ValueError):
-            device.run_program(program, [1, 2], mode="batched")
+        assert run_auto(device, program, [1, 2]) == \
+            ("eager", "rel-aliasing-within-span")
+        # ...but vectorizes when bases are strided past the footprint.
+        device, reference = PIMDevice(SMALL), PIMDevice(SMALL)
         _seed(device)
-        reference = PIMDevice(SMALL)
         _seed(reference)
-        device.run_program(program, [1, 4, 7], mode="batched")
+        assert run_auto(device, program, [1, 4, 7]) == ("compiled", None)
         reference.run_program(program, [1, 4, 7], mode="eager")
         assert np.array_equal(device._mem, reference._mem)
 
-    def test_decreasing_bases_fall_back(self):
+    def test_decreasing_bases_fall_back(self, run_auto):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
         device = PIMDevice(SMALL)
-        with pytest.raises(ValueError):
-            device.run_program(program, [5, 3], mode="batched")
+        assert run_auto(device, program, [5, 3]) == \
+            ("eager", "bases-not-increasing")
 
     def test_out_of_range_bases_raise(self):
         rec = ProgramRecorder(SMALL)
@@ -174,6 +254,16 @@ class TestRunProgram:
         with pytest.raises(ValueError):
             device.run_program(rec.finish(), [0], mode="sideways")
 
+    def test_rejects_retired_modes(self):
+        rec = ProgramRecorder(SMALL)
+        _record_lpf_row(rec)
+        program = rec.finish()
+        device = PIMDevice(SMALL)
+        for mode in ("batched", "compiled"):
+            with pytest.raises(ValueError, match="unknown replay mode"):
+                device.run_program(program, [0], mode=mode)
+        assert device.ledger.cycles == 0
+
     def test_rejects_geometry_mismatch(self):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
@@ -189,7 +279,7 @@ class TestRunProgram:
         device.run_program(rec.finish(), [])
         assert device.ledger.cycles == 0
 
-    def test_batched_equals_eager_memory_ledger_trace(self):
+    def test_compiled_equals_eager_memory_ledger_trace(self, run_auto):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
@@ -198,7 +288,7 @@ class TestRunProgram:
         _seed(dev_b, 3)
         _seed(dev_e, 3)
         bases = list(range(2, 9))
-        dev_b.run_program(program, bases, mode="batched")
+        assert run_auto(dev_b, program, bases) == ("compiled", None)
         dev_e.run_program(program, bases, mode="eager")
         assert np.array_equal(dev_b._mem, dev_e._mem)
         assert all(np.array_equal(a, b)
@@ -356,12 +446,12 @@ class TestTraceRing:
             device.add(TMP, 0, Imm(1))
         assert len(device.trace) == 10
 
-    def test_ring_applies_to_batched_replay(self):
+    def test_ring_applies_to_compiled_replay(self, run_auto):
         rec = ProgramRecorder(SMALL)
         _record_lpf_row(rec)
         program = rec.finish()
         device = PIMDevice(SMALL, trace=True, max_trace=3)
-        device.run_program(program, range(0, 8), mode="batched")
+        assert run_auto(device, program, range(0, 8)) == ("compiled", None)
         assert len(device.trace) == 3
 
 
