@@ -1,8 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper, prints a
-paper-vs-measured report, and archives it under
-``benchmarks/results/``.
+paper-vs-measured report, and writes it under ``benchmarks/reports/``,
+which git ignores, so a benchmark run leaves the tree clean.  The
+reports archived with the code stay in ``benchmarks/results/``; copy a
+fresh report there on purpose to update the archive.
 """
 
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "reports"
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +23,7 @@ def results_dir() -> Path:
 
 @pytest.fixture
 def record_report(results_dir):
-    """Print a report and archive it under benchmarks/results/."""
+    """Print a report and write it under benchmarks/reports/."""
 
     def _record(name: str, text: str) -> None:
         print(f"\n{'=' * 72}\n{text}\n{'=' * 72}")

@@ -3,7 +3,7 @@
 The paper overlays the PIM EBVO output trajectory (green) on the
 ground truth (red) for a feature-rich and a feature-poor sequence.
 This bench regenerates the overlay as SVG files under
-``benchmarks/results/`` and checks the tracks stay locked.
+``benchmarks/reports/`` and checks the tracks stay locked.
 """
 
 import numpy as np

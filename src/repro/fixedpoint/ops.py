@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "lane_bounds",
     "wrap",
     "saturate",
     "sat_add",
@@ -38,7 +39,8 @@ def _as_i64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64)
 
 
-def _bounds(bits: int, signed: bool) -> tuple[int, int]:
+def lane_bounds(bits: int, signed: bool = True) -> tuple[int, int]:
+    """Smallest and largest value an n-bit lane represents."""
     if bits >= 64:
         # 64-bit lanes saturate the int64 host accumulator: the lane IS
         # the accumulator word, so signed two's-complement bounds apply
@@ -57,7 +59,7 @@ def wrap(x, bits: int, signed: bool = True) -> np.ndarray:
     lane's most significant slice is discarded.  At 64 bits the lane
     coincides with the int64 host word, so the value is already wrapped
     (and the "unsigned" view degenerates to the signed one -- see
-    :func:`_bounds`).
+    :func:`lane_bounds`).
     """
     x = np.asarray(x)
     if bits >= 64:
@@ -80,14 +82,16 @@ def saturate(x, bits: int, signed: bool = True) -> np.ndarray:
     Models the saturation unit driven by the carry-extension bitmask
     (paper section 4.1).
     """
-    lo, hi = _bounds(bits, signed)
+    lo, hi = lane_bounds(bits, signed)
     x = np.asarray(x)
     if x.dtype == np.uint64 and bits < 64:
         # Exact unsigned products arrive as uint64 (see multiply);
         # they are non-negative by construction, so only the upper
         # bound can clamp.
         return np.minimum(x, np.uint64(hi)).astype(np.int64)
-    return np.clip(_as_i64(x), lo, hi)
+    # minimum/maximum rather than np.clip: the same int64 result, without
+    # the dtype-limits lookup np.clip makes on every call.
+    return np.minimum(np.maximum(_as_i64(x), lo), hi)
 
 
 def sat_add(a, b, bits: int, signed: bool = True) -> np.ndarray:
@@ -187,7 +191,7 @@ def multiply(a, b, bits: int, signed: bool = True) -> np.ndarray:
     (n = 32) and is returned as uint64; :func:`wrap`/:func:`saturate`
     narrow either dtype correctly.
     """
-    lo, hi = _bounds(bits, signed)
+    lo, hi = lane_bounds(bits, signed)
     a = _as_i64(a)
     b = _as_i64(b)
     if np.any((a < lo) | (a > hi)) or np.any((b < lo) | (b > hi)):
@@ -208,7 +212,7 @@ def divide(a, b, bits: int, signed: bool = True) -> np.ndarray:
     """
     a = _as_i64(a)
     b = _as_i64(b)
-    _, hi = _bounds(bits, signed)
+    _, hi = lane_bounds(bits, signed)
     if bits >= 64:
         # |INT64_MIN| does not exist in int64 (np.abs wraps to itself),
         # so develop the magnitudes in uint64 -- exactly what the

@@ -117,7 +117,7 @@ class QFormat:
             representable range.
         """
         raw = np.rint(np.asarray(value, dtype=np.float64) * self.scale)
-        raw = np.clip(raw, self.raw_min, self.raw_max)
+        raw = np.minimum(np.maximum(raw, self.raw_min), self.raw_max)
         out = raw.astype(self.dtype)
         return out if out.ndim else out[()]
 

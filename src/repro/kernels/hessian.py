@@ -13,6 +13,22 @@ while 32-bit Q29.3 suffices - behaviour the ablation bench reproduces.
 
 The naive mapping computes all 36 products of the full (non-symmetric)
 matrix, the extra cost Fig. 9-b's LM bar reflects.
+
+:func:`hessian_fast` mirrors the device without its batch loop.
+Saturating addition is not associative, yet a prefix sum reproduces
+it exactly.  Write ``s_k`` for the sequential saturating accumulator
+after batch ``k`` and ``c_k`` for the plain int64 prefix sum of the
+(already saturated) products.  If ``c_0 .. c_{k-1}`` all lie inside
+the accumulator range, then ``s_{k-1} = c_{k-1}`` by induction: each
+step adds in-range values whose sum is in range, so the clamp never
+acts.  Hence when no prefix sum leaves the range, the result is the
+last prefix sum.  Otherwise, at the first batch ``k`` whose prefix sum
+leaves the range, ``c_{k-1}`` is still the exact accumulator, and the
+sequential saturating loop resumes from there.  The int64 prefix sum
+cannot wrap before that first exit: it is the sum of two values inside
+a range of at most 63 bits.  At 64 bits the lane is the int64 word
+itself; both forms then wrap alike, and wrapping addition is
+associative.
 """
 
 from __future__ import annotations
@@ -64,15 +80,20 @@ def hessian_float(jacobians: np.ndarray, residuals: np.ndarray) -> tuple:
     return j.T @ j, j.T @ r
 
 
-def _sat_prod(a, b) -> np.ndarray:
-    return ops.saturate(
-        (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
-        >> _PROD_SHIFT, _ACC_BITS)
+#: Lane-product operands of the 27 accumulator rows: the 21 Hessian
+#: pairs, then ``J_i * r`` (column 6 is the residual).
+_PROD_P = np.array([p for p, _ in SYM_PAIRS] + list(range(6)))
+_PROD_Q = np.array([q for _, q in SYM_PAIRS] + [6] * 6)
 
 
 def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
                  lanes: int = 80, acc_bits: int = _ACC_BITS) -> tuple:
     """Quantized reduction with exact PIM arithmetic and batch structure.
+
+    Equal, bit for bit, to accumulating batch after batch with one
+    saturating add per product row (what :func:`hessian_pim` does on
+    the device); see the module docstring for why the prefix sum is
+    exact.
 
     Args:
         j_raw: (N x 6) Jacobian raws (Q14.2).
@@ -84,27 +105,29 @@ def hessian_fast(j_raw: np.ndarray, r_raw: np.ndarray,
         ``(h_raw, b_raw)``: 21 upper-triangular raws and 6 vector raws
         in Q29.3.
     """
-    j = np.asarray(j_raw, dtype=np.int64)
+    j = np.asarray(j_raw, dtype=np.int64).reshape(-1, 6)
     r = np.asarray(r_raw, dtype=np.int64).reshape(-1)
     n = r.size
     batches = max(1, -(-n // lanes))
-    padded = batches * lanes
-    jp = np.zeros((padded, 6), dtype=np.int64)
-    rp = np.zeros(padded, dtype=np.int64)
-    jp[:n] = j
-    rp[:n] = r
+    cols = np.zeros((7, batches * lanes), dtype=np.int64)
+    cols[:6, :n] = j.T
+    cols[6, :n] = r
 
-    acc = np.zeros((27, lanes), dtype=np.int64)
-    for start in range(0, padded, lanes):
-        jb = jp[start:start + lanes]
-        rb = rp[start:start + lanes]
-        for idx, (p, q) in enumerate(SYM_PAIRS):
-            prod = ops.saturate(
-                (jb[:, p] * jb[:, q]) >> _PROD_SHIFT, acc_bits)
-            acc[idx] = ops.sat_add(acc[idx], prod, acc_bits)
-        for i in range(6):
-            prod = ops.saturate((jb[:, i] * rb) >> _PROD_SHIFT, acc_bits)
-            acc[21 + i] = ops.sat_add(acc[21 + i], prod, acc_bits)
+    prods = ops.saturate((cols[_PROD_P] * cols[_PROD_Q]) >> _PROD_SHIFT,
+                         acc_bits)
+    prods = prods.reshape(27, batches, lanes).transpose(1, 0, 2)
+    csum = np.cumsum(prods, axis=0)
+    lo, hi = ops.lane_bounds(acc_bits)
+    left = ((csum < lo) | (csum > hi)).reshape(batches, -1).any(axis=1)
+    if not left.any():
+        acc = csum[-1]
+    else:
+        # Partial sums up to batch k - 1 never saturated, so csum[k - 1]
+        # is the exact accumulator; resume the sequential loop at k.
+        k = int(left.argmax())
+        acc = csum[k - 1] if k else np.zeros((27, lanes), dtype=np.int64)
+        for batch in prods[k:]:
+            acc = ops.sat_add(acc, batch, acc_bits)
 
     for s in reduction_shifts(lanes):
         acc = ops.sat_add(acc, shift_pixels(acc, s), acc_bits)

@@ -20,6 +20,7 @@ points, same shift amounts) so the tracker's numerics equal the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,46 +152,61 @@ def warp_float(pose: SE3, a, b, c, camera: CameraIntrinsics) -> WarpResult:
     return WarpResult(u=u, v=v, rx=rx, ry=ry, z=z, valid=valid)
 
 
-def _mac_row(qpose_row, t_raw, feats: QuantizedFeatures) -> np.ndarray:
-    """One row of ``R (a, b, 1) + T c`` with PIM op order and saturation.
+@lru_cache(maxsize=16)
+def _intrinsic_raws(camera: CameraIntrinsics) -> tuple:
+    """``(fx, fy, cx, cy)`` raws: focal lengths in Q10.6, principal
+    point in the warped-coordinate format."""
+    return (int(INTRINSIC_FORMAT.quantize(camera.fx)),
+            int(INTRINSIC_FORMAT.quantize(camera.fy)),
+            int(UV_FORMAT.quantize(camera.cx)),
+            int(UV_FORMAT.quantize(camera.cy)))
 
-    ``X = sat(sat(sat(r0 a + r1 b) + r2') + t c)`` where every product
-    is ``(Q1.15 x Q4.f) >> 15`` and ``r2' = r2 >> (15 - f)``.
+
+def _mac_rows(qpose: QuantizedPose, feats: QuantizedFeatures
+              ) -> np.ndarray:
+    """The rows of ``R (a, b, 1) + T c`` with PIM op order and saturation.
+
+    Row ``i`` is ``sat(sat(sat(ri0 a + ri1 b) + ri2') + ti c)`` where
+    every product is ``(Q1.15 x Q4.f) >> 15`` and
+    ``ri2' = ri2 >> (15 - f)``; all three rows form one ``(3, N)`` pass.
     """
     f = feats.fmt.fraction_bits
-    r0, r1, r2 = (int(qpose_row[0]), int(qpose_row[1]), int(qpose_row[2]))
-    m0 = ops.saturate(ops.multiply(np.full_like(feats.a, r0), feats.a,
-                                   _LANE_BITS) >> 15, _LANE_BITS)
-    m1 = ops.saturate(ops.multiply(np.full_like(feats.b, r1), feats.b,
-                                   _LANE_BITS) >> 15, _LANE_BITS)
-    m2 = ops.saturate(ops.multiply(np.full_like(feats.c, int(t_raw)),
-                                   feats.c, _LANE_BITS) >> 15, _LANE_BITS)
-    r2_conv = r2 >> (15 - f)
-    acc = ops.sat_add(m0, m1, _LANE_BITS)
-    acc = ops.sat_add(acc, np.int64(r2_conv), _LANE_BITS)
-    return ops.sat_add(acc, m2, _LANE_BITS)
+    r = np.asarray(qpose.r, dtype=np.int64)
+    t = np.asarray(qpose.t, dtype=np.int64)
+    if not len(feats):
+        # An empty batch multiplies no lanes, so no operand is range
+        # checked (the coefficients alone would be below).
+        return np.zeros((3, 0), dtype=np.int64)
+
+    def product(coeff, values) -> np.ndarray:
+        return ops.saturate(ops.multiply(coeff[:, None], values,
+                                         _LANE_BITS) >> 15, _LANE_BITS)
+
+    acc = ops.sat_add(product(r[:, 0], feats.a), product(r[:, 1], feats.b),
+                      _LANE_BITS)
+    acc = ops.sat_add(acc, (r[:, 2] >> (15 - f))[:, None], _LANE_BITS)
+    return ops.sat_add(acc, product(t, feats.c), _LANE_BITS)
 
 
 def warp_fast(qpose: QuantizedPose, feats: QuantizedFeatures,
               camera: CameraIntrinsics) -> WarpResult:
-    """Quantized warp with exact PIM arithmetic (vectorized)."""
+    """Quantized warp with exact PIM arithmetic (vectorized).
+
+    X and Y go through the division and the intrinsic mapping as one
+    ``(2, N)`` pass; lanes never interact, so this equals doing the
+    rows one at a time.
+    """
     f = feats.fmt.fraction_bits
-    x = _mac_row(qpose.r[0], qpose.t[0], feats)
-    y = _mac_row(qpose.r[1], qpose.t[1], feats)
-    z = _mac_row(qpose.r[2], qpose.t[2], feats)
-    rx = qdiv_lanes(x, z, lshift=f)
-    ry = qdiv_lanes(y, z, lshift=f)
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
+    xyz = _mac_rows(qpose, feats)
+    z = xyz[2]
+    rx, ry = rxy = qdiv_lanes(xyz[:2], z, lshift=f)
+    fx_q, fy_q, cx_q, cy_q = _intrinsic_raws(camera)
     shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
-    u = ops.sat_add(
-        ops.saturate(ops.multiply(np.full_like(rx, fx_q), rx, 32) >> shift,
-                     _LANE_BITS), np.int64(cx_q), _LANE_BITS)
-    v = ops.sat_add(
-        ops.saturate(ops.multiply(np.full_like(ry, fy_q), ry, 32) >> shift,
-                     _LANE_BITS), np.int64(cy_q), _LANE_BITS)
+    focal = np.array([[fx_q], [fy_q]], dtype=np.int64)
+    centre = np.array([[cx_q], [cy_q]], dtype=np.int64)
+    u, v = ops.sat_add(
+        ops.saturate(ops.multiply(focal, rxy, 32) >> shift, _LANE_BITS),
+        centre, _LANE_BITS)
     scale = UV_FORMAT.scale
     valid = (z > 0) & (u >= 0) & (u <= (camera.width - 1) * scale) & \
         (v >= 0) & (v <= (camera.height - 1) * scale)
@@ -244,10 +260,7 @@ def warp_pim(device, qpose: QuantizedPose, feats: QuantizedFeatures,
     device.div(rows.rx, rows.x, rows.z, lshift=f)
     device.div(rows.ry, rows.y, rows.z, lshift=f)
 
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
+    fx_q, fy_q, cx_q, cy_q = _intrinsic_raws(camera)
     shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
     device.mul(TMP, rows.rx, Imm(fx_q), rshift=shift)
     device.add(rows.u, TMP, Imm(cx_q), saturate=True)
@@ -306,10 +319,7 @@ def warp_program(qpose: QuantizedPose, fraction_bits: int,
     rec.div(Rel(_W.rx), Rel(_W.x), Rel(_W.z), lshift=f)
     rec.div(Rel(_W.ry), Rel(_W.y), Rel(_W.z), lshift=f)
 
-    fx_q = int(INTRINSIC_FORMAT.quantize(camera.fx))
-    fy_q = int(INTRINSIC_FORMAT.quantize(camera.fy))
-    cx_q = int(UV_FORMAT.quantize(camera.cx))
-    cy_q = int(UV_FORMAT.quantize(camera.cy))
+    fx_q, fy_q, cx_q, cy_q = _intrinsic_raws(camera)
     shift = INTRINSIC_FORMAT.fraction_bits + f - UV_FORMAT.fraction_bits
     rec.mul(TMP, Rel(_W.rx), Imm(fx_q), rshift=shift)
     rec.add(Rel(_W.u), TMP, Imm(cx_q), saturate=True)

@@ -56,7 +56,7 @@ from repro.obs.promtext import (
     render_prometheus_text,
 )
 from repro.obs.slo import SloEngine, SloTargets, percentile
-from repro.obs.stamp import git_sha, run_stamp
+from repro.obs.stamp import git_dirty, git_sha, run_stamp
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -98,6 +98,6 @@ __all__ = [
     "SloEngine", "SloTargets", "percentile",
     "FlightRecorder", "get_flight_recorder", "set_flight_recorder",
     "parse_prometheus_text", "render_prometheus_text",
-    "git_sha", "run_stamp",
+    "git_sha", "git_dirty", "run_stamp",
     "setup_logging",
 ]

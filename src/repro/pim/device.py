@@ -188,7 +188,7 @@ def _compute(method: str, n: int, vals: Tuple[np.ndarray, ...],
         # Division by zero saturates toward the *lane* bound, as the
         # restoring loop would leave an all-ones quotient.  64-bit
         # lanes take the signed bound regardless of view (int64 host
-        # bound, see repro.fixedpoint.ops._bounds).
+        # bound, see repro.fixedpoint.ops.lane_bounds).
         lane_hi = (1 << (n - 1)) - 1 if signed or n >= 64 \
             else (1 << n) - 1
         q = np.where(vb == 0,
@@ -1192,7 +1192,7 @@ class BitPIMDevice(_DeviceCore):
         quotient = np.where(neg, ~quotient + np.uint64(1),
                             quotient).astype(np.int64)
         # 64-bit lanes take the signed bounds regardless of view (the
-        # int64 host bound; see repro.fixedpoint.ops._bounds).
+        # int64 host bound; see repro.fixedpoint.ops.lane_bounds).
         _, hi = (-(1 << (n - 1)), (1 << (n - 1)) - 1) \
             if signed or n >= 64 else (0, (1 << n) - 1)
         overflow = np.where(va >= 0, hi, -hi if signed else hi)

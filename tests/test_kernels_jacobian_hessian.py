@@ -1,9 +1,12 @@
 """Tests for the Jacobian and Hessian kernels (Fig. 5-c/d)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.fixedpoint import Q14_2, Q29_3
+from repro.fixedpoint import Q14_2, Q29_3, ops
 from repro.geometry import TUM_QVGA, inverse_depth_coords, se3_exp
 from repro.kernels.hessian import (
     SYM_PAIRS,
@@ -235,3 +238,86 @@ class TestHessian:
         # 42 multiplies vs 27.
         ratio = dev_naive.ledger.cycles / dev_opt.ledger.cycles
         assert 1.3 < ratio < 1.8
+
+
+def sequential_hessian(j, r, lanes, acc_bits):
+    """Batch-by-batch saturating accumulation, one add per product row.
+
+    The device's order of operations written out plainly: no prefix
+    sums, every add clamped to the accumulator lane.
+    """
+    lo, hi = -(1 << (acc_bits - 1)), (1 << (acc_bits - 1)) - 1
+    pairs = SYM_PAIRS + [(i, 6) for i in range(6)]
+    cols = np.column_stack([j, r]).astype(np.int64)
+    batches = max(1, -(-len(cols) // lanes))
+    acc = np.zeros((27, lanes), dtype=np.int64)
+    for batch in range(batches):
+        block = np.zeros((lanes, 7), dtype=np.int64)
+        rows = cols[batch * lanes:(batch + 1) * lanes]
+        block[:len(rows)] = rows
+        for idx, (p, q) in enumerate(pairs):
+            prod = np.clip((block[:, p] * block[:, q]) >> 1, lo, hi)
+            acc[idx] = np.clip(acc[idx] + prod, lo, hi)
+    for s in reduction_shifts(lanes):
+        shifted = np.zeros_like(acc)
+        shifted[:, :-s] = acc[:, s:]
+        acc = np.clip(acc + shifted, lo, hi)
+    return acc[:21, 0], acc[21:, 0]
+
+
+def device_hessian(j, r):
+    """``hessian_pim`` batch by batch, then ``hessian_reduce_pim``."""
+    dev = PIMDevice(PIMConfig(wordline_bits=2560, num_rows=64))
+    dev.set_precision(32)
+    acc_rows = list(range(7, 34))
+    batches = max(1, -(-len(r) // 80))
+    for batch in range(batches):
+        sl = slice(batch * 80, (batch + 1) * 80)
+        for i in range(6):
+            dev.load(i, j[sl, i])
+        dev.load(6, r[sl])
+        hessian_pim(dev, list(range(6)), 6, acc_rows,
+                    first_batch=(batch == 0))
+    raws = hessian_reduce_pim(dev, acc_rows)
+    return raws[:21], raws[21:]
+
+
+class TestHessianSaturationProperty:
+    """``hessian_fast`` equals the sequential saturating sum, also when
+    partial sums leave the accumulator range and the prefix sum has to
+    hand over to the batch loop."""
+
+    def test_matches_sequential_saturating_sum(self):
+        outcomes = []
+        limit = (1 << 15) - 1
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(layout=st.sampled_from([(80, 32), (160, 16)]),
+               batches=st.integers(1, 8),
+               fill=st.floats(0.01, 1.0),
+               magnitude=st.sampled_from([1 << 7, 1 << 11, limit]),
+               positive=st.booleans(),
+               seed=st.integers(0, 2 ** 32 - 1))
+        def check(layout, batches, fill, magnitude, positive, seed):
+            lanes, acc_bits = layout
+            n = (batches - 1) * lanes + max(1, round(fill * lanes))
+            rng = np.random.default_rng(seed)
+            low = 0 if positive else -magnitude
+            j = rng.integers(low, magnitude + 1, (n, 6))
+            r = rng.integers(low, magnitude + 1, n)
+            with mock.patch.object(ops, "sat_add",
+                                   wraps=ops.sat_add) as spy:
+                h, b = hessian_fast(j, r, lanes=lanes, acc_bits=acc_bits)
+            # Without the resume loop only the reduction tree adds.
+            outcomes.append(spy.call_count > len(reduction_shifts(lanes)))
+            h_ref, b_ref = sequential_hessian(j, r, lanes, acc_bits)
+            np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(b, b_ref)
+            if acc_bits == 32:
+                h_dev, b_dev = device_hessian(j, r)
+                np.testing.assert_array_equal(h_dev, h)
+                np.testing.assert_array_equal(b_dev, b)
+
+        check()
+        assert any(outcomes), "the overflow-resume branch never ran"
+        assert not all(outcomes), "the prefix-sum branch never ran"

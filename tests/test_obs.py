@@ -8,6 +8,7 @@ trace (valid JSON, complete events, monotone timestamps).
 
 import json
 import logging
+import subprocess
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics_jsonl,
 )
+from repro.obs import stamp
 from repro.obs.export import access_share_rows, kernel_cycle_rows
 from repro.obs.tracer import (
     CLOCK,
@@ -436,3 +438,46 @@ class TestLogging:
             assert consoles[0].stream is second
         finally:
             original.setStream(sys.stderr)
+
+
+class TestRunStamp:
+    """``git_dirty`` tells a stamp taken from uncommitted code apart."""
+
+    @staticmethod
+    def fake_git(monkeypatch, status_stdout):
+        calls = []
+
+        def run(cmd, **kwargs):
+            calls.append(cmd)
+            if status_stdout is None:
+                raise subprocess.CalledProcessError(128, cmd)
+            out = "abc123\n" if cmd[1] == "rev-parse" else status_stdout
+            return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+        monkeypatch.setattr(stamp.subprocess, "run", run)
+        return calls
+
+    def test_clean_tree(self, monkeypatch):
+        calls = self.fake_git(monkeypatch, "")
+        fields = stamp.run_stamp()
+        assert fields["git_sha"] == "abc123"
+        assert fields["git_dirty"] is False
+        assert ["git", "status", "--porcelain",
+                "--untracked-files=no"] in calls
+
+    def test_modified_tracked_file(self, monkeypatch):
+        self.fake_git(monkeypatch, " M src/repro/kernels/hessian.py\n")
+        assert stamp.run_stamp()["git_dirty"] is True
+
+    def test_outside_git(self, monkeypatch):
+        self.fake_git(monkeypatch, None)
+        fields = stamp.run_stamp()
+        assert fields["git_sha"] is None
+        assert fields["git_dirty"] is None
+
+    def test_git_missing(self, monkeypatch):
+        def run(cmd, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(stamp.subprocess, "run", run)
+        assert stamp.git_dirty() is None
